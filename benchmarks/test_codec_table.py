@@ -1,4 +1,4 @@
-"""Table D — the wire codec microbench and its committed report.
+"""Table W — the wire codec microbench and its committed report.
 
 Regenerates :mod:`repro.bench.table_codec` (short timing loops — the
 assertions are about sizes and schema, not about absolute speed) and

@@ -103,7 +103,6 @@ from repro.ssa import (
     DefUseChains,
     InterferenceChecker,
     construct_ssa,
-    destruct_ssa,
 )
 from repro.ssadestruct import (
     DestructReport,
@@ -152,7 +151,6 @@ __all__ = [
     # ssa
     "DefUseChains",
     "construct_ssa",
-    "destruct_ssa",
     "InterferenceChecker",
     "CopyCoalescer",
     # ssadestruct (the staged out-of-SSA client)

@@ -32,6 +32,7 @@ from typing import Iterable
 from repro.api.errors import ApiError, ErrorCode, ProtocolError
 from repro.api.handles import FunctionHandle
 from repro.api.protocol import (
+    MESSAGES,
     AllocateRequest,
     AllocateResponse,
     AllocationSummary,
@@ -148,6 +149,13 @@ def dispatch_json_via(dispatch, payload, obs: "Observability | None" = None) -> 
     if trace_id is not None:
         attach_trace(envelope, trace_id)
     return envelope
+
+
+#: Request class → the name of the :class:`CompilerClient` method that
+#: answers it: ``_`` plus the message's wire tag.
+_HANDLER_FOR: dict[type, str] = {
+    row.request: f"_{row.tag}" for row in MESSAGES if row.request
+}
 
 
 class CompilerClient:
@@ -312,32 +320,16 @@ class CompilerClient:
             return checker.batch.is_live_in(var, block)
         return checker.batch.is_live_out(var, block)
 
-    def _failure(self, request, error: ApiError) -> Response:
-        return failure_response(request, error)
+    _failure = staticmethod(failure_response)
 
     def _dispatch(self, request: Request) -> Response:
-        if isinstance(request, LivenessQuery):
-            return self._liveness_query(request)
-        if isinstance(request, BatchLiveness):
-            return self._batch_liveness(request)
-        if isinstance(request, LiveSetRequest):
-            return self._live_set(request)
-        if isinstance(request, DestructRequest):
-            return self._destruct(request)
-        if isinstance(request, AllocateRequest):
-            return self._allocate(request)
-        if isinstance(request, NotifyRequest):
-            return self._notify_edit(request)
-        if isinstance(request, EvictRequest):
-            return self._evict(request)
-        if isinstance(request, CompileSourceRequest):
-            return self._compile_source(request)
-        if isinstance(request, StatsRequest):
-            return self._stats(request)
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"unsupported request type {type(request).__name__}",
-        )
+        handler = _HANDLER_FOR.get(type(request))
+        if handler is None:
+            raise ProtocolError(
+                ErrorCode.INVALID_REQUEST,
+                f"unsupported request type {type(request).__name__}",
+            )
+        return getattr(self, handler)(request)
 
     # ------------------------------------------------------------------
     # Resolution helpers
@@ -522,7 +514,7 @@ class CompilerClient:
             allocation=AllocationSummary.from_allocation(allocation),
         )
 
-    def _notify_edit(self, request: NotifyRequest) -> NotifyResponse:
+    def _notify(self, request: NotifyRequest) -> NotifyResponse:
         self._resolve_function(request.function)
         name = request.function.name
         if request.kind is NotifyKind.CFG:

@@ -35,50 +35,38 @@ as "speak JSON".  Unknown codec names likewise fall back to JSON rather
 than erroring; see :func:`negotiate_codec`.
 
 Cache geometry stays unobservable in both encodings by construction:
-the binary encoders are type-by-type projections of exactly the fields
-``to_json`` exposes, so nothing about eviction, LRU order or checker
-residency can leak through one codec that the other hides.
+both are derived from the same field declarations
+(:data:`repro.api.protocol.MESSAGES`), so nothing about eviction, LRU
+order or checker residency can leak through one codec that the other
+hides.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.api.errors import ApiError, ErrorCode, ProtocolError
-from repro.api.handles import FunctionHandle
 from repro.api.protocol import (
-    AllocateRequest,
-    AllocateResponse,
-    AllocationSummary,
-    BatchLiveness,
-    BatchLivenessResponse,
-    CompileSourceRequest,
-    CompileSourceResponse,
-    DestructRequest,
-    DestructResponse,
-    DestructStats,
-    ErrorResponse,
-    EvictRequest,
-    EvictResponse,
-    LivenessQuery,
-    LivenessResponse,
-    LiveSetRequest,
-    LiveSetResponse,
-    NotifyKind,
-    NotifyRequest,
-    NotifyResponse,
+    MESSAGES,
     PROTOCOL_VERSION,
-    QueryKind,
+    ErrorResponse,
+    LivenessResponse,
     Request,
     Response,
-    StatsRequest,
-    StatsResponse,
+    decode_request,
     decode_response,
-    dumps_compact,
     encode_request,
     encode_response,
+)
+from repro.api.schema import (
+    Reader,
+    StringInterner,
+    StringTable,
+    dumps_compact,
+    write_str,
+    write_uvarint,
 )
 
 #: Registered codec names (the negotiation currency).
@@ -97,770 +85,46 @@ MAX_FRAME = 16 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct("<I")
 
-# Request opcodes (one byte on the wire); responses are OP | 0x80 and
-# the decode-failure fallback response is OP_ERROR_RESPONSE.
-OP_LIVENESS_QUERY = 0x01
-OP_BATCH_LIVENESS = 0x02
-OP_LIVE_SET = 0x03
-OP_DESTRUCT = 0x04
-OP_ALLOCATE = 0x05
-OP_NOTIFY = 0x06
-OP_EVICT = 0x07
-OP_COMPILE_SOURCE = 0x08
-OP_STATS = 0x09
-RESPONSE_BIT = 0x80
-OP_ERROR_RESPONSE = 0xFF
-
-
-# ----------------------------------------------------------------------
-# Primitives
-# ----------------------------------------------------------------------
-def _w_uvarint(out: bytearray, value: int) -> None:
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _w_svarint(out: bytearray, value: int) -> None:
-    # Zigzag, arbitrary precision: small magnitudes of either sign stay
-    # one byte.
-    _w_uvarint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
-
-
-def _w_str(out: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    _w_uvarint(out, len(raw))
-    out += raw
-
-
-def _truncated() -> ProtocolError:
-    return ProtocolError(ErrorCode.INVALID_REQUEST, "truncated binary frame")
-
-
-class _Reader:
-    """Cursor over one frame's bytes; every read is bounds-checked."""
-
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
-        self.end = len(data)
-
-    def u8(self) -> int:
-        pos = self.pos
-        if pos >= self.end:
-            raise _truncated()
-        self.pos = pos + 1
-        return self.data[pos]
-
-    def uvarint(self) -> int:
-        data = self.data
-        pos = self.pos
-        end = self.end
-        result = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise _truncated()
-            byte = data[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > 63:
-                raise ProtocolError(
-                    ErrorCode.INVALID_REQUEST, "varint exceeds 64 bits"
-                )
-        self.pos = pos
-        return result
-
-    def svarint(self) -> int:
-        zig = self.uvarint()
-        return (zig >> 1) if not zig & 1 else -((zig + 1) >> 1)
-
-    def take(self, count: int) -> bytes:
-        pos = self.pos
-        stop = pos + count
-        if stop > self.end:
-            raise _truncated()
-        self.pos = stop
-        return self.data[pos:stop]
-
-    def str_(self) -> str:
-        raw = self.take(self.uvarint())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, f"invalid UTF-8 in string: {exc}"
-            ) from None
-
-    def blob(self) -> bytes:
-        return self.take(self.uvarint())
-
-    def expect_end(self) -> None:
-        if self.pos != self.end:
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST,
-                f"{self.end - self.pos} trailing bytes after message body",
-            )
-
-
 # The persist layer (:mod:`repro.persist`) frames its on-disk snapshot
 # and WAL records with the same varint/string conventions as wire
-# frames; these public aliases are its sanctioned entry points into the
-# primitives above (the underscored names stay private to this module).
-Reader = _Reader
-write_uvarint = _w_uvarint
-write_svarint = _w_svarint
-write_str = _w_str
-
-
-# ----------------------------------------------------------------------
-# Per-connection string interning
-# ----------------------------------------------------------------------
-class StringInterner:
-    """Encode side of the send-once string table (one per connection).
-
-    The first :meth:`ref` for a string assigns the next id and appends
-    ``(id, string)`` to the frame's definitions; later refs are just the
-    id.  A definition is considered delivered once its frame has been
-    handed to the transport, so an interner must live exactly as long as
-    one connection — reconnecting means a fresh interner *and* a fresh
-    ``hello`` (which resets the server's table).
-    """
-
-    __slots__ = ("_ids",)
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-
-    def ref(self, text: str, defs: list[tuple[int, str]]) -> int:
-        ident = self._ids.get(text)
-        if ident is None:
-            ident = len(self._ids)
-            self._ids[text] = ident
-            defs.append((ident, text))
-        return ident
-
-    def reset(self) -> None:
-        self._ids.clear()
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
-class StringTable:
-    """Decode side: refs defined by earlier frames of the connection.
-
-    Append-only between resets, so a body may be decoded *after* later
-    frames' definitions were ingested (the worker-pool case) — existing
-    refs never change meaning mid-connection.
-    """
-
-    __slots__ = ("_strings",)
-
-    def __init__(self) -> None:
-        self._strings: dict[int, str] = {}
-
-    def define(self, ident: int, text: str) -> None:
-        known = self._strings.get(ident)
-        if known is not None and known != text:
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST,
-                f"string ref {ident} redefined ({known!r} -> {text!r})",
-            )
-        self._strings[ident] = text
-
-    def lookup(self, ident: int) -> str:
-        text = self._strings.get(ident)
-        if text is None:
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST,
-                f"undefined string ref {ident} (table was reset?)",
-            )
-        return text
-
-    def reset(self) -> None:
-        self._strings.clear()
-
-    def __len__(self) -> int:
-        return len(self._strings)
-
-
-# ----------------------------------------------------------------------
-# Shared field encodings
-# ----------------------------------------------------------------------
-_KIND_CODE = {QueryKind.LIVE_IN: 0, QueryKind.LIVE_OUT: 1}
-_KIND_OF = (QueryKind.LIVE_IN, QueryKind.LIVE_OUT)
-_NOTIFY_CODE = {NotifyKind.CFG: 0, NotifyKind.INSTRUCTIONS: 1}
-_NOTIFY_OF = (NotifyKind.CFG, NotifyKind.INSTRUCTIONS)
-
-
-def _dec_kind(r: _Reader) -> QueryKind:
-    code = r.u8()
-    if code > 1:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, f"unknown query kind code {code}"
-        )
-    return _KIND_OF[code]
-
-
-def _enc_handle_ref(
-    handle: FunctionHandle,
-    out: bytearray,
-    interner: StringInterner,
-    defs: list[tuple[int, str]],
-) -> None:
-    # Requests intern the function name; responses (decoded out of order
-    # under a worker pool) always inline theirs.
-    _w_uvarint(out, interner.ref(handle.name, defs))
-    revision = handle.revision
-    if revision is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_svarint(out, revision)
-
-
-def _dec_handle_ref(r: _Reader, table: StringTable) -> FunctionHandle:
-    name = table.lookup(r.uvarint())
-    if r.u8():
-        return FunctionHandle(name=name, revision=r.svarint())
-    return FunctionHandle(name=name)
-
-
-def _enc_handle_inline(handle: FunctionHandle | None, out: bytearray) -> None:
-    if handle is None:
-        out.append(0)
-        return
-    out.append(1)
-    _w_str(out, handle.name)
-    revision = handle.revision
-    if revision is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_svarint(out, revision)
-
-
-def _dec_handle_inline(r: _Reader) -> FunctionHandle | None:
-    if not r.u8():
-        return None
-    name = r.str_()
-    if r.u8():
-        return FunctionHandle(name=name, revision=r.svarint())
-    return FunctionHandle(name=name)
-
-
-def _enc_error(error: ApiError | None, out: bytearray) -> None:
-    if error is None:
-        out.append(0)
-        return
-    out.append(1)
-    _w_str(out, error.code.value)
-    _w_str(out, error.detail)
-
-
-def _dec_error(r: _Reader) -> ApiError | None:
-    if not r.u8():
-        return None
-    code = r.str_()
-    detail = r.str_()
-    return ApiError(code=ErrorCode(code), detail=detail)
-
-
-def _enc_bool(value: bool, out: bytearray) -> None:
-    out.append(1 if value else 0)
-
-
-def _dec_bool(r: _Reader) -> bool:
-    code = r.u8()
-    if code > 1:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, f"unknown boolean code {code}"
-        )
-    return code == 1
-
-
-def _w_json_blob(out: bytearray, obj) -> None:
-    if obj is None:
-        out.append(0)
-        return
-    out.append(1)
-    raw = dumps_compact(obj).encode("utf-8")
-    _w_uvarint(out, len(raw))
-    out += raw
-
-
-def _r_json_blob(r: _Reader):
-    if not r.u8():
-        return None
-    raw = r.blob()
-    try:
-        return json.loads(raw)
-    except ValueError as exc:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, f"malformed embedded JSON blob: {exc}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Request bodies
-# ----------------------------------------------------------------------
-def _enc_query_fields(query: LivenessQuery, out, interner, defs) -> None:
-    _enc_handle_ref(query.function, out, interner, defs)
-    out.append(_KIND_CODE[query.kind])
-    _w_str(out, query.variable)
-    _w_str(out, query.block)
-
-
-def _dec_query_fields(r: _Reader, table: StringTable) -> LivenessQuery:
-    handle = _dec_handle_ref(r, table)
-    kind = _dec_kind(r)
-    return LivenessQuery(
-        function=handle, kind=kind, variable=r.str_(), block=r.str_()
-    )
-
-
-def _enc_batch(msg: BatchLiveness, out, interner, defs) -> None:
-    _w_uvarint(out, len(msg.queries))
-    for query in msg.queries:
-        _enc_query_fields(query, out, interner, defs)
-
-
-def _dec_batch(r: _Reader, table: StringTable) -> BatchLiveness:
-    count = r.uvarint()
-    return BatchLiveness(
-        queries=tuple(_dec_query_fields(r, table) for _ in range(count))
-    )
-
-
-def _enc_live_set(msg: LiveSetRequest, out, interner, defs) -> None:
-    _enc_handle_ref(msg.function, out, interner, defs)
-    _w_str(out, msg.block)
-    out.append(_KIND_CODE[msg.kind])
-
-
-def _dec_live_set(r: _Reader, table: StringTable) -> LiveSetRequest:
-    handle = _dec_handle_ref(r, table)
-    block = r.str_()
-    return LiveSetRequest(function=handle, block=block, kind=_dec_kind(r))
-
-
-def _enc_destruct(msg: DestructRequest, out, interner, defs) -> None:
-    _enc_handle_ref(msg.function, out, interner, defs)
-    _w_str(out, msg.engine)
-    _enc_bool(msg.verify, out)
-
-
-def _dec_destruct(r: _Reader, table: StringTable) -> DestructRequest:
-    return DestructRequest(
-        function=_dec_handle_ref(r, table),
-        engine=r.str_(),
-        verify=_dec_bool(r),
-    )
-
-
-def _enc_allocate(msg: AllocateRequest, out, interner, defs) -> None:
-    _enc_handle_ref(msg.function, out, interner, defs)
-    if msg.num_registers is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_svarint(out, msg.num_registers)
-    _w_str(out, msg.engine)
-    _enc_bool(msg.destruct, out)
-
-
-def _dec_allocate(r: _Reader, table: StringTable) -> AllocateRequest:
-    handle = _dec_handle_ref(r, table)
-    num_registers = r.svarint() if r.u8() else None
-    return AllocateRequest(
-        function=handle,
-        num_registers=num_registers,
-        engine=r.str_(),
-        destruct=_dec_bool(r),
-    )
-
-
-def _enc_notify(msg: NotifyRequest, out, interner, defs) -> None:
-    _enc_handle_ref(msg.function, out, interner, defs)
-    out.append(_NOTIFY_CODE[msg.kind])
-    # A presence byte, then (when present) the delta's four block-name
-    # lists, each uvarint-counted.  Block names are inlined rather than
-    # interned: edit deltas name blocks, not functions, and the same
-    # block name rarely repeats across requests.
-    delta = msg.delta
-    if delta is None:
-        out.append(0)
-        return
-    out.append(1)
-    for edges in (delta.added_edges, delta.removed_edges):
-        _w_uvarint(out, len(edges))
-        for source, target in edges:
-            _w_str(out, source)
-            _w_str(out, target)
-    for blocks in (delta.added_blocks, delta.removed_blocks):
-        _w_uvarint(out, len(blocks))
-        for block in blocks:
-            _w_str(out, block)
-
-
-def _dec_notify(r: _Reader, table: StringTable) -> NotifyRequest:
-    from repro.core.incremental import CfgDelta
-
-    handle = _dec_handle_ref(r, table)
-    code = r.u8()
-    if code > 1:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, f"unknown notify kind code {code}"
-        )
-    delta = None
-    if r.u8():
-        edge_lists = [
-            [(r.str_(), r.str_()) for _ in range(r.uvarint())] for _ in range(2)
-        ]
-        block_lists = [
-            [r.str_() for _ in range(r.uvarint())] for _ in range(2)
-        ]
-        delta = CfgDelta(
-            added_edges=edge_lists[0],
-            removed_edges=edge_lists[1],
-            added_blocks=block_lists[0],
-            removed_blocks=block_lists[1],
-        )
-    return NotifyRequest(function=handle, kind=_NOTIFY_OF[code], delta=delta)
-
-
-def _enc_evict(msg: EvictRequest, out, interner, defs) -> None:
-    _enc_handle_ref(msg.function, out, interner, defs)
-
-
-def _dec_evict(r: _Reader, table: StringTable) -> EvictRequest:
-    return EvictRequest(function=_dec_handle_ref(r, table))
-
-
-def _enc_compile_source(msg: CompileSourceRequest, out, interner, defs) -> None:
-    _w_str(out, msg.source)
-    _w_str(out, msg.module_name)
-
-
-def _dec_compile_source(r: _Reader, table: StringTable) -> CompileSourceRequest:
-    return CompileSourceRequest(source=r.str_(), module_name=r.str_())
-
-
-def _enc_stats_req(msg: StatsRequest, out, interner, defs) -> None:
-    _enc_bool(msg.reset, out)
-
-
-def _dec_stats_req(r: _Reader, table: StringTable) -> StatsRequest:
-    return StatsRequest(reset=_dec_bool(r))
-
-
-# ----------------------------------------------------------------------
-# Response bodies
-# ----------------------------------------------------------------------
-def _enc_liveness_resp(msg: LivenessResponse, out) -> None:
-    value = msg.value
-    if value is None:
-        out.append(2)
-    elif value is True:
-        out.append(1)
-    elif value is False:
-        out.append(0)
-    else:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"cannot binary-encode liveness value {value!r}",
-        )
-    _enc_error(msg.error, out)
-
-
-def _dec_liveness_resp(r: _Reader) -> LivenessResponse:
-    code = r.u8()
-    if code > 2:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, f"unknown liveness value code {code}"
-        )
-    value = (False, True, None)[code]
-    return LivenessResponse(value=value, error=_dec_error(r))
-
-
-def _enc_batch_resp(msg: BatchLivenessResponse, out) -> None:
-    values = msg.values
-    if values is None:
-        out.append(0)
-    else:
-        out.append(1)
-        count = len(values)
-        _w_uvarint(out, count)
-        bits = bytearray((count + 7) >> 3)
-        for index, value in enumerate(values):
-            if value:
-                bits[index >> 3] |= 1 << (index & 7)
-        out += bits
-    _enc_error(msg.error, out)
-
-
-def _dec_batch_resp(r: _Reader) -> BatchLivenessResponse:
-    values: tuple[bool, ...] | None = None
-    if r.u8():
-        count = r.uvarint()
-        bits = r.take((count + 7) >> 3)
-        values = tuple(
-            bool(bits[index >> 3] & (1 << (index & 7))) for index in range(count)
-        )
-    return BatchLivenessResponse(values=values, error=_dec_error(r))
-
-
-def _enc_live_set_resp(msg: LiveSetResponse, out) -> None:
-    if msg.variables is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_uvarint(out, len(msg.variables))
-        for name in msg.variables:
-            _w_str(out, name)
-    _enc_error(msg.error, out)
-
-
-def _dec_live_set_resp(r: _Reader) -> LiveSetResponse:
-    variables: tuple[str, ...] | None = None
-    if r.u8():
-        variables = tuple(r.str_() for _ in range(r.uvarint()))
-    return LiveSetResponse(variables=variables, error=_dec_error(r))
-
-
-#: DestructStats integer fields, in wire order (engine travels first).
-_DESTRUCT_FIELDS = (
-    "critical_edges_split",
-    "phis_isolated",
-    "parallel_copies",
-    "pairs_inserted",
-    "pairs_coalesced",
-    "classes_merged",
-    "interference_tests",
-    "liveness_queries",
-    "copies_emitted",
-    "temps_inserted",
-    "phis_removed",
-)
-
-
-def _enc_destruct_resp(msg: DestructResponse, out) -> None:
-    _enc_handle_inline(msg.function, out)
-    stats = msg.stats
-    if stats is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_str(out, stats.engine)
-        for field in _DESTRUCT_FIELDS:
-            _w_svarint(out, getattr(stats, field))
-    _enc_error(msg.error, out)
-
-
-def _dec_destruct_resp(r: _Reader) -> DestructResponse:
-    handle = _dec_handle_inline(r)
-    stats = None
-    if r.u8():
-        engine = r.str_()
-        values = {field: r.svarint() for field in _DESTRUCT_FIELDS}
-        stats = DestructStats(engine=engine, **values)
-    return DestructResponse(function=handle, stats=stats, error=_dec_error(r))
-
-
-def _enc_allocate_resp(msg: AllocateResponse, out) -> None:
-    _enc_handle_inline(msg.function, out)
-    allocation = msg.allocation
-    if allocation is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_uvarint(out, len(allocation.registers))
-        for name, register in allocation.registers.items():
-            _w_str(out, name)
-            _w_svarint(out, register)
-        _w_uvarint(out, len(allocation.spill_slots))
-        for name, slot in allocation.spill_slots.items():
-            _w_str(out, name)
-            _w_svarint(out, slot)
-        _w_svarint(out, allocation.registers_used)
-        _w_svarint(out, allocation.max_live)
-        _w_svarint(out, allocation.max_live_before_spill)
-        _w_uvarint(out, len(allocation.spilled))
-        for name in allocation.spilled:
-            _w_str(out, name)
-        _enc_bool(allocation.reconstructed_ssa, out)
-    _enc_error(msg.error, out)
-
-
-def _dec_allocate_resp(r: _Reader) -> AllocateResponse:
-    handle = _dec_handle_inline(r)
-    allocation = None
-    if r.u8():
-        registers = {r.str_(): r.svarint() for _ in range(r.uvarint())}
-        spill_slots = {r.str_(): r.svarint() for _ in range(r.uvarint())}
-        registers_used = r.svarint()
-        max_live = r.svarint()
-        max_live_before_spill = r.svarint()
-        spilled = tuple(r.str_() for _ in range(r.uvarint()))
-        allocation = AllocationSummary(
-            registers=registers,
-            spill_slots=spill_slots,
-            registers_used=registers_used,
-            max_live=max_live,
-            max_live_before_spill=max_live_before_spill,
-            spilled=spilled,
-            reconstructed_ssa=_dec_bool(r),
-        )
-    return AllocateResponse(
-        function=handle, allocation=allocation, error=_dec_error(r)
-    )
-
-
-def _enc_handle_only_resp(msg, out) -> None:
-    _enc_handle_inline(msg.function, out)
-    _enc_error(msg.error, out)
-
-
-def _dec_notify_resp(r: _Reader) -> NotifyResponse:
-    return NotifyResponse(function=_dec_handle_inline(r), error=_dec_error(r))
-
-
-def _dec_evict_resp(r: _Reader) -> EvictResponse:
-    return EvictResponse(function=_dec_handle_inline(r), error=_dec_error(r))
-
-
-def _enc_compile_resp(msg: CompileSourceResponse, out) -> None:
-    if msg.functions is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _w_uvarint(out, len(msg.functions))
-        for handle in msg.functions:
-            _enc_handle_inline(handle, out)
-    _enc_error(msg.error, out)
-
-
-def _dec_compile_resp(r: _Reader) -> CompileSourceResponse:
-    functions: tuple[FunctionHandle, ...] | None = None
-    if r.u8():
-        count = r.uvarint()
-        handles = []
-        for _ in range(count):
-            handle = _dec_handle_inline(r)
-            if handle is None:
-                raise ProtocolError(
-                    ErrorCode.INVALID_REQUEST, "null handle in compile response"
-                )
-            handles.append(handle)
-        functions = tuple(handles)
-    return CompileSourceResponse(functions=functions, error=_dec_error(r))
-
-
-def _enc_stats_resp(msg: StatsResponse, out) -> None:
-    # Metrics snapshots are irregular nested dicts; they ride as compact
-    # JSON blobs inside the binary frame (still smaller than the JSON
-    # envelope, which pays the same blob plus the envelope around it).
-    _w_json_blob(out, msg.snapshot)
-    _w_json_blob(out, msg.stats)
-    _enc_error(msg.error, out)
-
-
-def _dec_stats_resp(r: _Reader) -> StatsResponse:
-    return StatsResponse(
-        snapshot=_r_json_blob(r), stats=_r_json_blob(r), error=_dec_error(r)
-    )
-
-
-def _enc_error_resp(msg: ErrorResponse, out) -> None:
-    _enc_error(msg.error, out)
-
-
-def _dec_error_resp(r: _Reader) -> ErrorResponse:
-    return ErrorResponse(error=_dec_error(r))
-
-
-# ----------------------------------------------------------------------
-# Dispatch tables (built once at import, like the JSON tag tables)
-# ----------------------------------------------------------------------
-_BIN2_REQUEST_ENCODERS: dict[type, tuple[int, Callable]] = {
-    LivenessQuery: (OP_LIVENESS_QUERY, _enc_query_fields),
-    BatchLiveness: (OP_BATCH_LIVENESS, _enc_batch),
-    LiveSetRequest: (OP_LIVE_SET, _enc_live_set),
-    DestructRequest: (OP_DESTRUCT, _enc_destruct),
-    AllocateRequest: (OP_ALLOCATE, _enc_allocate),
-    NotifyRequest: (OP_NOTIFY, _enc_notify),
-    EvictRequest: (OP_EVICT, _enc_evict),
-    CompileSourceRequest: (OP_COMPILE_SOURCE, _enc_compile_source),
-    StatsRequest: (OP_STATS, _enc_stats_req),
+# frames, through the primitives this module imports from
+# repro.api.schema (Reader, write_uvarint, write_str).
+
+# Opcodes (one byte on the wire), from the message table: responses are
+# the request opcode | RESPONSE_BIT, and the decode-failure fallback
+# response is OP_ERROR_RESPONSE.
+_OPCODE = {row.tag: row.opcode for row in MESSAGES}
+OP_LIVENESS_QUERY = _OPCODE["liveness_query"]
+OP_BATCH_LIVENESS = _OPCODE["batch_liveness"]
+OP_LIVE_SET = _OPCODE["live_set"]
+OP_DESTRUCT = _OPCODE["destruct"]
+OP_ALLOCATE = _OPCODE["allocate"]
+OP_NOTIFY = _OPCODE["notify"]
+OP_EVICT = _OPCODE["evict"]
+OP_COMPILE_SOURCE = _OPCODE["compile_source"]
+OP_STATS = _OPCODE["stats"]
+RESPONSE_BIT = 0x80
+OP_ERROR_RESPONSE = _OPCODE["error"] | RESPONSE_BIT
+
+# class → (opcode, body writer) and opcode → body reader, per direction.
+_BIN2_REQUEST_ENCODERS = {
+    row.request: (row.opcode, row.request_kind.write) for row in MESSAGES if row.request
 }
-
-_BIN2_REQUEST_DECODERS: dict[int, Callable] = {
-    OP_LIVENESS_QUERY: _dec_query_fields,
-    OP_BATCH_LIVENESS: _dec_batch,
-    OP_LIVE_SET: _dec_live_set,
-    OP_DESTRUCT: _dec_destruct,
-    OP_ALLOCATE: _dec_allocate,
-    OP_NOTIFY: _dec_notify,
-    OP_EVICT: _dec_evict,
-    OP_COMPILE_SOURCE: _dec_compile_source,
-    OP_STATS: _dec_stats_req,
+_BIN2_REQUEST_DECODERS = {
+    row.opcode: row.request_kind.read for row in MESSAGES if row.request
 }
-
-_BIN2_RESPONSE_ENCODERS: dict[type, tuple[int, Callable]] = {
-    LivenessResponse: (OP_LIVENESS_QUERY | RESPONSE_BIT, _enc_liveness_resp),
-    BatchLivenessResponse: (OP_BATCH_LIVENESS | RESPONSE_BIT, _enc_batch_resp),
-    LiveSetResponse: (OP_LIVE_SET | RESPONSE_BIT, _enc_live_set_resp),
-    DestructResponse: (OP_DESTRUCT | RESPONSE_BIT, _enc_destruct_resp),
-    AllocateResponse: (OP_ALLOCATE | RESPONSE_BIT, _enc_allocate_resp),
-    NotifyResponse: (OP_NOTIFY | RESPONSE_BIT, _enc_handle_only_resp),
-    EvictResponse: (OP_EVICT | RESPONSE_BIT, _enc_handle_only_resp),
-    CompileSourceResponse: (OP_COMPILE_SOURCE | RESPONSE_BIT, _enc_compile_resp),
-    StatsResponse: (OP_STATS | RESPONSE_BIT, _enc_stats_resp),
-    ErrorResponse: (OP_ERROR_RESPONSE, _enc_error_resp),
+_BIN2_RESPONSE_ENCODERS = {
+    row.response: (row.opcode | RESPONSE_BIT, row.response_kind.write) for row in MESSAGES
 }
-
-_BIN2_RESPONSE_DECODERS: dict[int, Callable] = {
-    OP_LIVENESS_QUERY | RESPONSE_BIT: _dec_liveness_resp,
-    OP_BATCH_LIVENESS | RESPONSE_BIT: _dec_batch_resp,
-    OP_LIVE_SET | RESPONSE_BIT: _dec_live_set_resp,
-    OP_DESTRUCT | RESPONSE_BIT: _dec_destruct_resp,
-    OP_ALLOCATE | RESPONSE_BIT: _dec_allocate_resp,
-    OP_NOTIFY | RESPONSE_BIT: _dec_notify_resp,
-    OP_EVICT | RESPONSE_BIT: _dec_evict_resp,
-    OP_COMPILE_SOURCE | RESPONSE_BIT: _dec_compile_resp,
-    OP_STATS | RESPONSE_BIT: _dec_stats_resp,
-    OP_ERROR_RESPONSE: _dec_error_resp,
+_BIN2_RESPONSE_DECODERS = {
+    row.opcode | RESPONSE_BIT: row.response_kind.read for row in MESSAGES
 }
 
 #: opcode → the JSON wire tag of the same message (for slow-request
 #: reports and error details).
 TAG_BY_OPCODE: dict[int, str] = {
-    OP_LIVENESS_QUERY: "liveness_query",
-    OP_BATCH_LIVENESS: "batch_liveness",
-    OP_LIVE_SET: "live_set",
-    OP_DESTRUCT: "destruct",
-    OP_ALLOCATE: "allocate",
-    OP_NOTIFY: "notify",
-    OP_EVICT: "evict",
-    OP_COMPILE_SOURCE: "compile_source",
-    OP_STATS: "stats",
-    OP_LIVENESS_QUERY | RESPONSE_BIT: "liveness_query",
-    OP_BATCH_LIVENESS | RESPONSE_BIT: "batch_liveness",
-    OP_LIVE_SET | RESPONSE_BIT: "live_set",
-    OP_DESTRUCT | RESPONSE_BIT: "destruct",
-    OP_ALLOCATE | RESPONSE_BIT: "allocate",
-    OP_NOTIFY | RESPONSE_BIT: "notify",
-    OP_EVICT | RESPONSE_BIT: "evict",
-    OP_COMPILE_SOURCE | RESPONSE_BIT: "compile_source",
-    OP_STATS | RESPONSE_BIT: "stats",
-    OP_ERROR_RESPONSE: "error",
+    **{row.opcode: row.tag for row in MESSAGES if row.request},
+    **{row.opcode | RESPONSE_BIT: row.tag for row in MESSAGES},
 }
 
 
@@ -868,21 +132,18 @@ TAG_BY_OPCODE: dict[int, str] = {
 # Framing
 # ----------------------------------------------------------------------
 def _frame(opcode: int, defs: Sequence[tuple[int, str]], body: bytes | bytearray) -> bytes:
-    payload = bytearray()
-    payload.append(BIN2_MAGIC)
-    payload.append(PROTOCOL_VERSION)
-    payload.append(opcode)
-    _w_uvarint(payload, len(defs))
+    payload = bytearray((BIN2_MAGIC, PROTOCOL_VERSION, opcode))
+    write_uvarint(payload, len(defs))
     for ident, text in defs:
-        _w_uvarint(payload, ident)
-        _w_str(payload, text)
+        write_uvarint(payload, ident)
+        write_str(payload, text)
     payload += body
     if len(payload) > MAX_FRAME:
         raise ProtocolError(
             ErrorCode.INVALID_REQUEST,
             f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME}",
         )
-    return _FRAME_HEADER.pack(len(payload)) + bytes(payload)
+    return _FRAME_HEADER.pack(len(payload)) + payload
 
 
 def is_bin2_frame(data) -> bool:
@@ -902,10 +163,10 @@ def is_bin2_frame(data) -> bool:
     return declared == len(data) - 4 and declared <= MAX_FRAME and data[4] == BIN2_MAGIC
 
 
-def _open_frame(data: bytes) -> tuple[int, _Reader]:
+def _open_frame(data: bytes) -> tuple[int, Reader]:
     """Validate one frame's header; returns ``(opcode, reader at defs)``."""
     if len(data) < 7:
-        raise _truncated()
+        raise ProtocolError(ErrorCode.INVALID_REQUEST, "truncated binary frame")
     declared = _FRAME_HEADER.unpack_from(data)[0]
     if declared != len(data) - 4:
         raise ProtocolError(
@@ -929,10 +190,10 @@ def _open_frame(data: bytes) -> tuple[int, _Reader]:
             f"protocol version mismatch: got {version!r}, "
             f"this server speaks {PROTOCOL_VERSION}",
         )
-    return data[6], _Reader(data, 7)
+    return data[6], Reader(data, 7)
 
 
-def _read_defs(r: _Reader, table: StringTable) -> None:
+def _read_defs(r: Reader, table: StringTable) -> None:
     for _ in range(r.uvarint()):
         ident = r.uvarint()
         table.define(ident, r.str_())
@@ -945,7 +206,7 @@ def _read_defs(r: _Reader, table: StringTable) -> None:
 #: owning the function they lead with: single-function requests whose
 #: only string ref is the leading handle name, so a frame decodes
 #: identically against any table that defines that one ref.
-RELAY_OPCODES = frozenset((OP_LIVENESS_QUERY, OP_LIVE_SET, OP_EVICT))
+RELAY_OPCODES = frozenset(row.opcode for row in MESSAGES if row.relay)
 
 
 def relay_route(data: bytes, body_pos: int, table: StringTable) -> tuple[int, str]:
@@ -956,14 +217,14 @@ def relay_route(data: bytes, body_pos: int, table: StringTable) -> tuple[int, st
     message), so a coordinator that cannot route a frame answers with the
     identical error a single-process server produces.
     """
-    r = _Reader(data, body_pos)
+    r = Reader(data, body_pos)
     ident = r.uvarint()
     return ident, table.lookup(ident)
 
 
 def frame_defs(data: bytes) -> list[tuple[int, str]]:
     """The ``(ident, text)`` definition pairs an ingested frame carries."""
-    r = _Reader(data, 7)
+    r = Reader(data, 7)
     return [(r.uvarint(), r.str_()) for _ in range(r.uvarint())]
 
 
@@ -980,6 +241,37 @@ def reframe_with_defs(
     return _frame(opcode, defs, data[body_pos:])
 
 
+def _encoder(encoders: dict, message) -> tuple[int, Callable]:
+    entry = encoders.get(type(message))
+    if entry is None:
+        raise ProtocolError(
+            ErrorCode.INVALID_REQUEST,
+            f"cannot encode {type(message).__name__} here",
+        )
+    return entry
+
+
+def _read_body(decoders: dict, opcode: int, r: Reader, direction: str):
+    """Decode one frame body; raises :class:`ProtocolError` only."""
+    decoder = decoders.get(opcode)
+    if decoder is None:
+        raise ProtocolError(
+            ErrorCode.INVALID_REQUEST,
+            f"unknown binary {direction} opcode {opcode:#04x}",
+        )
+    try:
+        message = decoder(r)
+    except ProtocolError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(
+            ErrorCode.INVALID_REQUEST,
+            f"malformed binary {TAG_BY_OPCODE.get(opcode, hex(opcode))} body: {exc}",
+        ) from None
+    r.expect_end()
+    return message
+
+
 def encode_request_bin2(
     request: Request, interner: StringInterner | None = None
 ) -> bytes:
@@ -989,18 +281,12 @@ def encode_request_bin2(
     sent once and referenced after; without one, a throwaway table is
     used so the frame is self-contained.
     """
-    entry = _BIN2_REQUEST_ENCODERS.get(type(request))
-    if entry is None:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"cannot encode {type(request).__name__} here",
-        )
-    opcode, encoder = entry
+    opcode, write = _encoder(_BIN2_REQUEST_ENCODERS, request)
     if interner is None:
         interner = StringInterner()
     defs: list[tuple[int, str]] = []
     body = bytearray()
-    encoder(request, body, interner, defs)
+    write(body, request, (interner, defs))
     return _frame(opcode, defs, body)
 
 
@@ -1008,38 +294,16 @@ def decode_request_bin2(data, table: StringTable | None = None) -> Request:
     """Inverse of :func:`encode_request_bin2`; raises :class:`ProtocolError`
     (never anything else) on any malformed input."""
     opcode, r = _open_frame(bytes(data))
-    if table is None:
-        table = StringTable()
-    _read_defs(r, table)
-    decoder = _BIN2_REQUEST_DECODERS.get(opcode)
-    if decoder is None:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST, f"unknown binary request opcode {opcode:#04x}"
-        )
-    try:
-        request = decoder(r, table)
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"malformed binary {TAG_BY_OPCODE.get(opcode, hex(opcode))} body: {exc}",
-        ) from None
-    r.expect_end()
-    return request
+    r.table = StringTable() if table is None else table
+    _read_defs(r, r.table)
+    return _read_body(_BIN2_REQUEST_DECODERS, opcode, r, "request")
 
 
 def encode_response_bin2(response: Response | ErrorResponse) -> bytes:
     """One bin2 frame for ``response`` (strings inline, no table)."""
-    entry = _BIN2_RESPONSE_ENCODERS.get(type(response))
-    if entry is None:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"cannot encode {type(response).__name__} here",
-        )
-    opcode, encoder = entry
+    opcode, write = _encoder(_BIN2_RESPONSE_ENCODERS, response)
     body = bytearray()
-    encoder(response, body)
+    write(body, response)
     return _frame(opcode, (), body)
 
 
@@ -1047,23 +311,7 @@ def decode_response_bin2(data) -> Response | ErrorResponse:
     """Inverse of :func:`encode_response_bin2`."""
     opcode, r = _open_frame(bytes(data))
     _read_defs(r, StringTable())
-    decoder = _BIN2_RESPONSE_DECODERS.get(opcode)
-    if decoder is None:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"unknown binary response opcode {opcode:#04x}",
-        )
-    try:
-        response = decoder(r)
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"malformed binary {TAG_BY_OPCODE.get(opcode, hex(opcode))} body: {exc}",
-        ) from None
-    r.expect_end()
-    return response
+    return _read_body(_BIN2_RESPONSE_DECODERS, opcode, r, "response")
 
 
 # ----------------------------------------------------------------------
@@ -1077,8 +325,6 @@ def encode_request_json(
 
 
 def decode_request_json(data, table: StringTable | None = None) -> Request:
-    from repro.api.protocol import decode_request
-
     return decode_request(data)
 
 
@@ -1090,36 +336,15 @@ def decode_response_json(data) -> Response | ErrorResponse:
     return decode_response(data)
 
 
-class WireCodec:
+class WireCodec(NamedTuple):
     """One registered encoding: four symmetrical byte-level entry points."""
 
-    __slots__ = (
-        "name",
-        "encode_request",
-        "decode_request",
-        "encode_response",
-        "decode_response",
-        "stateful",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        encode_request: Callable,
-        decode_request: Callable,
-        encode_response: Callable,
-        decode_response: Callable,
-        stateful: bool,
-    ) -> None:
-        self.name = name
-        self.encode_request = encode_request
-        self.decode_request = decode_request
-        self.encode_response = encode_response
-        self.decode_response = decode_response
-        self.stateful = stateful
-
-    def __repr__(self) -> str:
-        return f"WireCodec({self.name!r})"
+    name: str
+    encode_request: Callable
+    decode_request: Callable
+    encode_response: Callable
+    decode_response: Callable
+    stateful: bool
 
 
 #: The codec registry, in server preference order: a client that offers
@@ -1359,7 +584,7 @@ class BytesServerSession:
                 # Zero definitions — the steady-state frame once the
                 # connection's names are interned; skip the defs reader.
                 return IngestedFrame(data, opcode=data[6], body_pos=8)
-            r = _Reader(data, 7)
+            r = Reader(data, 7)
             _read_defs(r, self._table)
             # body_pos lets the worker skip the defs walk entirely.
             return IngestedFrame(data, opcode=data[6], body_pos=r.pos)
@@ -1408,7 +633,7 @@ class BytesServerSession:
         opcode = token.opcode
         start = clock()
         body_pos = token.body_pos if token.body_pos is not None else 7
-        r = _Reader(token.data, body_pos)
+        r = Reader(token.data, body_pos, self._table)
         if token.body_pos is None:
             _read_defs(r, self._table)
             body_pos = r.pos
@@ -1417,27 +642,9 @@ class BytesServerSession:
             if fast is not None:
                 return fast
             # Fall through re-reads the body generically below.
-            r = _Reader(token.data, body_pos)
-        decoder = _BIN2_REQUEST_DECODERS.get(opcode)
-        if decoder is None:
-            return self._error_frame(
-                ApiError(
-                    ErrorCode.INVALID_REQUEST,
-                    f"unknown binary request opcode {opcode:#04x}",
-                )
-            )
+            r = Reader(token.data, body_pos, self._table)
         try:
-            try:
-                request = decoder(r, self._table)
-                r.expect_end()
-            except ProtocolError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    ErrorCode.INVALID_REQUEST,
-                    f"malformed binary "
-                    f"{TAG_BY_OPCODE.get(opcode, hex(opcode))} body: {exc}",
-                ) from None
+            request = _read_body(_BIN2_REQUEST_DECODERS, opcode, r, "request")
         except ProtocolError as exc:
             return self._error_frame(exc.error)
         self._bin2_decode_observe(clock() - start)
@@ -1451,7 +658,7 @@ class BytesServerSession:
         self._bin2_out_add(len(frame))
         return frame
 
-    def _fast_liveness(self, r: _Reader, clock, start: float) -> bytes | None:
+    def _fast_liveness(self, r: Reader, clock, start: float) -> bytes | None:
         """Hand-rolled hot lane for ``LivenessQuery`` frames.
 
         Parses the five fields without building request objects, asks the
@@ -1500,7 +707,7 @@ class BytesServerSession:
             return self._hello(parsed)
         self._decode_seconds[CODEC_JSON].observe(clock() - start)
         envelope = dispatch_json_via(
-            self._dispatch_guarded, parsed if parsed is not None else data,
+            self._dispatch, parsed if parsed is not None else data,
             obs=self.obs,
         )
         start = clock()
@@ -1508,12 +715,6 @@ class BytesServerSession:
         self._encode_seconds[CODEC_JSON].observe(clock() - start)
         self._bytes_out[CODEC_JSON].add(len(out))
         return out
-
-    def _dispatch_guarded(self, request: Request) -> Response:
-        # The injected dispatch is a client's never-raising entry point;
-        # this indirection only exists so a broken injection still comes
-        # back as a structured error (complete's catch-all handles it).
-        return self._dispatch(request)
 
     def _hello(self, parsed: dict) -> bytes:
         # A hello starts a (logical) connection: reset the string table

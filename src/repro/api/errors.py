@@ -58,8 +58,11 @@ class ApiError:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ApiError":
-        """Inverse of :meth:`to_json` (lossless)."""
-        return cls(code=ErrorCode(payload["code"]), detail=payload.get("detail", ""))
+        """Inverse of :meth:`to_json` (lossless); rejects mistyped fields."""
+        code, detail = ErrorCode(payload["code"]), payload.get("detail", "")
+        if type(detail) is not str:
+            raise TypeError(f"error detail must be a string, got {detail!r}")
+        return cls(code=code, detail=detail)
 
 
 class ProtocolError(Exception):

@@ -51,8 +51,11 @@ class FunctionHandle:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FunctionHandle":
-        """Inverse of :meth:`to_json` (lossless)."""
-        return cls(name=payload["name"], revision=payload.get("revision"))
+        """Inverse of :meth:`to_json` (lossless); rejects mistyped fields."""
+        name, revision = payload["name"], payload.get("revision")
+        if type(name) is not str or not (revision is None or type(revision) is int):
+            raise TypeError(f"malformed function handle {payload!r}")
+        return cls(name=name, revision=revision)
 
     def __str__(self) -> str:
         suffix = "" if self.revision is None else f"@r{self.revision}"

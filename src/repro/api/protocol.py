@@ -11,7 +11,9 @@ Every request and response encodes to JSON and decodes back **losslessly**
 (``decode(encode(x)) == x``), so a service can be driven over a wire,
 logged, and replayed; the envelope carries :data:`PROTOCOL_VERSION` and
 decoding rejects envelopes from a different major version with an
-``INVALID_REQUEST`` error instead of misinterpreting them.
+``INVALID_REQUEST`` error instead of misinterpreting them.  Each message
+is declared once, as a row of :data:`MESSAGES`; the JSON and bin2
+encodings and the dispatch tables are all derived from that table.
 
 Functions are addressed by :class:`~repro.api.handles.FunctionHandle`;
 variables and blocks travel by *name* (strings are what survives a wire,
@@ -22,33 +24,42 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum, unique
-from typing import Callable, Union
+from enum import unique
+from typing import NamedTuple, Union
 
 from repro.api.errors import ApiError, ErrorCode, ProtocolError
 from repro.api.handles import FunctionHandle
 from repro.api.registry import FAST
+from repro.api.schema import (
+    ABSENT,
+    API_ERROR,
+    BITSET,
+    BOOL,
+    HANDLE,
+    HANDLE_REF,
+    JSON_BLOB,
+    JSON_DECODER,
+    STR,
+    STR_INT_MAP,
+    STR_PAIR,
+    SVARINT,
+    Kind,
+    WireEnum,
+    boxed,
+    code,
+    enum_code,
+    list_of,
+    optional,
+    record,
+)
+from repro.core.incremental import CfgDelta
 
 #: Version stamped on (and required in) every envelope.
 PROTOCOL_VERSION = 1
 
-#: One shared decoder/encoder pair for the whole wire layer.  ``json.loads``
-#: and ``json.dumps`` build a fresh ``JSONDecoder``/``JSONEncoder`` whenever
-#: non-default options are involved; the hot path reuses these instances
-#: instead, and the compact separators drop the cosmetic whitespace from
-#: every wire envelope (the canonical form tests compare is unaffected —
-#: it re-serializes with its own options).
-_JSON_DECODER = json.JSONDecoder()
-_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def dumps_compact(obj) -> str:
-    """Compact (separator-free) JSON text via the shared encoder instance."""
-    return _JSON_ENCODER.encode(obj)
-
 
 @unique
-class QueryKind(str, Enum):
+class QueryKind(WireEnum):
     """Validated liveness query kind (was a bare ``"in"``/``"out"`` string).
 
     A ``str`` enum, so ``QueryKind.LIVE_IN == "in"`` — call sites (and one
@@ -59,19 +70,6 @@ class QueryKind(str, Enum):
 
     LIVE_IN = "in"
     LIVE_OUT = "out"
-
-    @classmethod
-    def coerce(cls, value: "QueryKind | str") -> "QueryKind":
-        """Normalise a kind, accepting the legacy strings; fail loudly."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown query kind {value!r}; expected "
-                f"{[k.value for k in cls]}"
-            ) from None
 
 
 def _coerce_handle(function: "FunctionHandle | str") -> FunctionHandle:
@@ -96,23 +94,6 @@ class LivenessQuery:
         object.__setattr__(self, "function", _coerce_handle(self.function))
         object.__setattr__(self, "kind", QueryKind.coerce(self.kind))
 
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "kind": self.kind.value,
-            "variable": self.variable,
-            "block": self.block,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "LivenessQuery":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            kind=QueryKind.coerce(body["kind"]),
-            variable=body["variable"],
-            block=body["block"],
-        )
-
 
 @dataclass(frozen=True)
 class BatchLiveness:
@@ -123,17 +104,6 @@ class BatchLiveness:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
-
-    def to_json(self) -> dict:
-        return {"queries": [query.to_json() for query in self.queries]}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "BatchLiveness":
-        return cls(
-            queries=tuple(
-                LivenessQuery.from_json(item) for item in body["queries"]
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -148,21 +118,6 @@ class LiveSetRequest:
         object.__setattr__(self, "function", _coerce_handle(self.function))
         object.__setattr__(self, "kind", QueryKind.coerce(self.kind))
 
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "block": self.block,
-            "kind": self.kind.value,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "LiveSetRequest":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            block=body["block"],
-            kind=QueryKind.coerce(body.get("kind", QueryKind.LIVE_IN)),
-        )
-
 
 @dataclass(frozen=True)
 class DestructRequest:
@@ -174,24 +129,6 @@ class DestructRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "function", _coerce_handle(self.function))
-
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "engine": self.engine,
-            "verify": self.verify,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "DestructRequest":
-        # Defaulted fields may be omitted on the wire (hand-written
-        # envelopes); encode() always emits them, so round-trips stay
-        # lossless either way.
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            engine=body.get("engine", FAST),
-            verify=body.get("verify", False),
-        )
 
 
 @dataclass(frozen=True)
@@ -206,44 +143,14 @@ class AllocateRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "function", _coerce_handle(self.function))
 
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "num_registers": self.num_registers,
-            "engine": self.engine,
-            "destruct": self.destruct,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "AllocateRequest":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            num_registers=body.get("num_registers"),
-            engine=body.get("engine", FAST),
-            destruct=body.get("destruct", False),
-        )
-
 
 @unique
-class NotifyKind(str, Enum):
+class NotifyKind(WireEnum):
     """Which invalidation a :class:`NotifyRequest` routes (paper contract:
     CFG edits drop the precomputation, instruction edits only the plans)."""
 
     CFG = "cfg"
     INSTRUCTIONS = "instructions"
-
-    @classmethod
-    def coerce(cls, value: "NotifyKind | str") -> "NotifyKind":
-        """Normalise a kind; fail loudly on anything unknown."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown notify kind {value!r}; expected "
-                f"{[k.value for k in cls]}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -264,26 +171,10 @@ class NotifyRequest:
     delta: "CfgDelta | None" = None
 
     def __post_init__(self) -> None:
-        from repro.core.incremental import CfgDelta
-
         object.__setattr__(self, "function", _coerce_handle(self.function))
         object.__setattr__(self, "kind", NotifyKind.coerce(self.kind))
         if self.delta is not None and not isinstance(self.delta, CfgDelta):
             object.__setattr__(self, "delta", CfgDelta.from_json(self.delta))
-
-    def to_json(self) -> dict:
-        payload = {"function": self.function.to_json(), "kind": self.kind.value}
-        if self.delta is not None:
-            payload["delta"] = self.delta.to_json()
-        return payload
-
-    @classmethod
-    def from_json(cls, body: dict) -> "NotifyRequest":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            kind=NotifyKind.coerce(body.get("kind", NotifyKind.INSTRUCTIONS)),
-            delta=body.get("delta"),
-        )
 
 
 @dataclass(frozen=True)
@@ -300,13 +191,6 @@ class EvictRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "function", _coerce_handle(self.function))
 
-    def to_json(self) -> dict:
-        return {"function": self.function.to_json()}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "EvictRequest":
-        return cls(function=FunctionHandle.from_json(body["function"]))
-
 
 @dataclass(frozen=True)
 class CompileSourceRequest:
@@ -314,16 +198,6 @@ class CompileSourceRequest:
 
     source: str
     module_name: str = "module"
-
-    def to_json(self) -> dict:
-        return {"source": self.source, "module_name": self.module_name}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "CompileSourceRequest":
-        return cls(
-            source=body["source"],
-            module_name=body.get("module_name", "module"),
-        )
 
 
 @dataclass(frozen=True)
@@ -339,13 +213,6 @@ class StatsRequest:
     """
 
     reset: bool = False
-
-    def to_json(self) -> dict:
-        return {"reset": self.reset}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "StatsRequest":
-        return cls(reset=bool(body.get("reset", False)))
 
 
 # ----------------------------------------------------------------------
@@ -372,39 +239,9 @@ class DestructStats:
     def from_report(cls, report) -> "DestructStats":
         """Project a :class:`~repro.ssadestruct.pipeline.DestructReport`."""
         return cls(
-            engine=report.backend,
-            critical_edges_split=report.critical_edges_split,
-            phis_isolated=report.phis_isolated,
-            parallel_copies=report.parallel_copies,
-            pairs_inserted=report.pairs_inserted,
-            pairs_coalesced=report.pairs_coalesced,
-            classes_merged=report.classes_merged,
-            interference_tests=report.interference_tests,
-            liveness_queries=report.liveness_queries,
-            copies_emitted=report.copies_emitted,
-            temps_inserted=report.temps_inserted,
-            phis_removed=report.phis_removed,
+            report.backend,
+            *[getattr(report, name) for name in list(cls.__dataclass_fields__)[1:]],
         )
-
-    def to_json(self) -> dict:
-        return {
-            "engine": self.engine,
-            "critical_edges_split": self.critical_edges_split,
-            "phis_isolated": self.phis_isolated,
-            "parallel_copies": self.parallel_copies,
-            "pairs_inserted": self.pairs_inserted,
-            "pairs_coalesced": self.pairs_coalesced,
-            "classes_merged": self.classes_merged,
-            "interference_tests": self.interference_tests,
-            "liveness_queries": self.liveness_queries,
-            "copies_emitted": self.copies_emitted,
-            "temps_inserted": self.temps_inserted,
-            "phis_removed": self.phis_removed,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "DestructStats":
-        return cls(**body)
 
 
 @dataclass(frozen=True)
@@ -440,63 +277,28 @@ class AllocationSummary:
             reconstructed_ssa=allocation.reconstructed_ssa,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "registers": dict(self.registers),
-            "spill_slots": dict(self.spill_slots),
-            "registers_used": self.registers_used,
-            "max_live": self.max_live,
-            "max_live_before_spill": self.max_live_before_spill,
-            "spilled": list(self.spilled),
-            "reconstructed_ssa": self.reconstructed_ssa,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "AllocationSummary":
-        return cls(
-            registers=dict(body["registers"]),
-            spill_slots=dict(body["spill_slots"]),
-            registers_used=body["registers_used"],
-            max_live=body["max_live"],
-            max_live_before_spill=body["max_live_before_spill"],
-            spilled=tuple(body["spilled"]),
-            reconstructed_ssa=body["reconstructed_ssa"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Responses — one per request type; payload XOR error
 # ----------------------------------------------------------------------
-def _error_to_json(error: ApiError | None):
-    return None if error is None else error.to_json()
-
-
-def _error_from_json(body: dict) -> ApiError | None:
-    raw = body.get("error")
-    return None if raw is None else ApiError.from_json(raw)
-
-
-@dataclass(frozen=True)
-class LivenessResponse:
-    """Answer to one :class:`LivenessQuery`."""
-
-    value: bool | None = None
-    error: ApiError | None = None
+class _Reply:
+    """What every response shares: ``ok`` is "no error"."""
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "error": _error_to_json(self.error)}
 
-    @classmethod
-    def from_json(cls, body: dict) -> "LivenessResponse":
-        return cls(value=body["value"], error=_error_from_json(body))
+@dataclass(frozen=True)
+class LivenessResponse(_Reply):
+    """Answer to one :class:`LivenessQuery`."""
+
+    value: bool | None = None
+    error: ApiError | None = None
 
 
 @dataclass(frozen=True)
-class BatchLivenessResponse:
+class BatchLivenessResponse(_Reply):
     """Answers to a :class:`BatchLiveness` stream, in request order."""
 
     values: tuple[bool, ...] | None = None
@@ -506,25 +308,9 @@ class BatchLivenessResponse:
         if self.values is not None:
             object.__setattr__(self, "values", tuple(self.values))
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        values = None if self.values is None else list(self.values)
-        return {"values": values, "error": _error_to_json(self.error)}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "BatchLivenessResponse":
-        values = body["values"]
-        return cls(
-            values=None if values is None else tuple(values),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class LiveSetResponse:
+class LiveSetResponse(_Reply):
     """The requested block's live set, as sorted variable names."""
 
     variables: tuple[str, ...] | None = None
@@ -534,25 +320,9 @@ class LiveSetResponse:
         if self.variables is not None:
             object.__setattr__(self, "variables", tuple(self.variables))
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        variables = None if self.variables is None else list(self.variables)
-        return {"variables": variables, "error": _error_to_json(self.error)}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "LiveSetResponse":
-        variables = body["variables"]
-        return cls(
-            variables=None if variables is None else tuple(variables),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class DestructResponse:
+class DestructResponse(_Reply):
     """Outcome of a :class:`DestructRequest`."""
 
     #: Handle at the function's *new* revision (the pass edits it).
@@ -560,30 +330,9 @@ class DestructResponse:
     stats: DestructStats | None = None
     error: ApiError | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "stats": None if self.stats is None else self.stats.to_json(),
-            "error": _error_to_json(self.error),
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "DestructResponse":
-        function = body["function"]
-        stats = body["stats"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            stats=None if stats is None else DestructStats.from_json(stats),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class AllocateResponse:
+class AllocateResponse(_Reply):
     """Outcome of an :class:`AllocateRequest`."""
 
     #: Handle at the function's *new* revision (allocation edits it).
@@ -591,63 +340,18 @@ class AllocateResponse:
     allocation: AllocationSummary | None = None
     error: ApiError | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "allocation": (
-                None if self.allocation is None else self.allocation.to_json()
-            ),
-            "error": _error_to_json(self.error),
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "AllocateResponse":
-        function = body["function"]
-        allocation = body["allocation"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            allocation=(
-                None
-                if allocation is None
-                else AllocationSummary.from_json(allocation)
-            ),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class NotifyResponse:
+class NotifyResponse(_Reply):
     """Outcome of a :class:`NotifyRequest`."""
 
     #: Handle at the function's *new* (bumped) revision.
     function: FunctionHandle | None = None
     error: ApiError | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "error": _error_to_json(self.error),
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "NotifyResponse":
-        function = body["function"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class EvictResponse:
+class EvictResponse(_Reply):
     """Outcome of an :class:`EvictRequest`.
 
     Deliberately does *not* say whether a checker was actually resident:
@@ -663,27 +367,9 @@ class EvictResponse:
     function: FunctionHandle | None = None
     error: ApiError | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "error": _error_to_json(self.error),
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "EvictResponse":
-        function = body["function"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class CompileSourceResponse:
+class CompileSourceResponse(_Reply):
     """Handles for every function a :class:`CompileSourceRequest` produced."""
 
     functions: tuple[FunctionHandle, ...] | None = None
@@ -693,33 +379,9 @@ class CompileSourceResponse:
         if self.functions is not None:
             object.__setattr__(self, "functions", tuple(self.functions))
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        functions = (
-            None
-            if self.functions is None
-            else [handle.to_json() for handle in self.functions]
-        )
-        return {"functions": functions, "error": _error_to_json(self.error)}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "CompileSourceResponse":
-        functions = body["functions"]
-        return cls(
-            functions=(
-                None
-                if functions is None
-                else tuple(FunctionHandle.from_json(item) for item in functions)
-            ),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class StatsResponse:
+class StatsResponse(_Reply):
     """A canonical JSON metrics snapshot (see ``MetricsRegistry.snapshot``).
 
     ``snapshot`` is plain JSON data — key-sorted maps of counters,
@@ -732,28 +394,9 @@ class StatsResponse:
     stats: dict | None = None
     error: ApiError | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json(self) -> dict:
-        return {
-            "snapshot": self.snapshot,
-            "stats": self.stats,
-            "error": _error_to_json(self.error),
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "StatsResponse":
-        return cls(
-            snapshot=body["snapshot"],
-            stats=body.get("stats"),
-            error=_error_from_json(body),
-        )
-
 
 @dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(_Reply):
     """Fallback response for requests that could not even be decoded.
 
     When a wire payload is malformed there is no request type to pick the
@@ -763,105 +406,177 @@ class ErrorResponse:
 
     error: ApiError | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
-    def to_json(self) -> dict:
-        return {"error": _error_to_json(self.error)}
+# ----------------------------------------------------------------------
+# The message table: every wire message declared once
+# ----------------------------------------------------------------------
+class Message(NamedTuple):
+    """One row of :data:`MESSAGES`: a request type and its response type.
 
-    @classmethod
-    def from_json(cls, body: dict) -> "ErrorResponse":
-        return cls(error=_error_from_json(body))
+    ``opcode`` is the request's bin2 opcode; the response travels as
+    ``opcode | 0x80``.  ``relay`` marks single-function requests whose
+    frames a multi-process coordinator may forward verbatim (their only
+    interned string is the leading handle's name).
+    """
 
+    tag: str
+    opcode: int
+    request: type | None
+    request_kind: Kind | None
+    response: type
+    response_kind: Kind
+    relay: bool
+
+
+def _message(tag, opcode, request, request_fields, response, payload_fields, relay=False):
+    if relay and request_fields[0][1] is not HANDLE_REF:
+        raise TypeError(f"relayed {tag} frames must lead with the function handle")
+    request_kind = None if request is None else record(request, request_fields)
+    # Every response is its payload fields plus the error, last.
+    response_kind = record(response, (*payload_fields, ("error", optional(API_ERROR), None)))
+    return Message(tag, opcode, request, request_kind, response, response_kind, relay)
+
+
+_QUERY_KIND = enum_code(QueryKind)
+_QUERY_FIELDS = (
+    ("function", HANDLE_REF),
+    ("kind", _QUERY_KIND),
+    ("variable", STR),
+    ("block", STR),
+)
+_DESTRUCT_STATS = record(
+    DestructStats,
+    [("engine", STR, "")]
+    + [(name, SVARINT, 0) for name in DestructStats.__dataclass_fields__ if name != "engine"],
+)
+_ALLOCATION_SUMMARY = record(
+    AllocationSummary,
+    (
+        ("registers", STR_INT_MAP),
+        ("spill_slots", STR_INT_MAP),
+        ("registers_used", SVARINT),
+        ("max_live", SVARINT),
+        ("max_live_before_spill", SVARINT),
+        ("spilled", list_of(STR)),
+        ("reconstructed_ssa", BOOL),
+    ),
+)
+_CFG_DELTA = record(
+    CfgDelta,
+    (
+        ("added_edges", list_of(STR_PAIR), ()),
+        ("removed_edges", list_of(STR_PAIR), ()),
+        ("added_blocks", list_of(STR), ()),
+        ("removed_blocks", list_of(STR), ()),
+    ),
+)
+
+#: Every wire message: ``(tag, opcode, request, request fields, response,
+#: response payload fields)``, fields in wire order; each response also
+#: ends with its ``error``.  A field with a third item may be omitted
+#: from a JSON body (it then takes that default).
+MESSAGES: tuple[Message, ...] = (
+    _message(
+        "liveness_query", 0x01,
+        LivenessQuery, _QUERY_FIELDS,
+        LivenessResponse,
+        (("value", code((False, True, None), "liveness value", None, optional(BOOL).from_json)),),
+        relay=True,
+    ),
+    _message(
+        "batch_liveness", 0x02,
+        BatchLiveness, (("queries", list_of(record(LivenessQuery, _QUERY_FIELDS))),),
+        BatchLivenessResponse, (("values", optional(BITSET)),),
+    ),
+    _message(
+        "live_set", 0x03,
+        LiveSetRequest,
+        (("function", HANDLE_REF), ("block", STR), ("kind", _QUERY_KIND, QueryKind.LIVE_IN)),
+        LiveSetResponse, (("variables", optional(list_of(STR))),),
+        relay=True,
+    ),
+    _message(
+        "destruct", 0x04,
+        DestructRequest, (("function", HANDLE_REF), ("engine", STR, FAST), ("verify", BOOL, False)),
+        DestructResponse, (("function", optional(HANDLE)), ("stats", optional(_DESTRUCT_STATS))),
+    ),
+    _message(
+        "allocate", 0x05,
+        AllocateRequest, (
+            ("function", HANDLE_REF),
+            ("num_registers", optional(SVARINT), None),
+            ("engine", STR, FAST),
+            ("destruct", BOOL, False),
+        ),
+        AllocateResponse,
+        (("function", optional(HANDLE)), ("allocation", optional(_ALLOCATION_SUMMARY))),
+    ),
+    _message(
+        "notify", 0x06,
+        NotifyRequest, (
+            ("function", HANDLE_REF),
+            ("kind", enum_code(NotifyKind), NotifyKind.INSTRUCTIONS),
+            ("delta", optional(_CFG_DELTA), ABSENT),
+        ),
+        NotifyResponse, (("function", optional(HANDLE)),),
+    ),
+    _message(
+        "evict", 0x07,
+        EvictRequest, (("function", HANDLE_REF),),
+        EvictResponse, (("function", optional(HANDLE)),),
+        relay=True,
+    ),
+    _message(
+        "compile_source", 0x08,
+        CompileSourceRequest, (("source", STR), ("module_name", STR, "module")),
+        CompileSourceResponse, (("functions", optional(list_of(boxed(HANDLE)))),),
+    ),
+    _message(
+        "stats", 0x09,
+        StatsRequest, (("reset", BOOL, False),),
+        StatsResponse, (("snapshot", JSON_BLOB), ("stats", JSON_BLOB, None)),
+    ),
+    # The answer to a request that could not even be decoded.
+    _message("error", 0x7F, None, None, ErrorResponse, ()),
+)
 
 #: The request union, for type hints and isinstance dispatch.
-Request = Union[
-    LivenessQuery,
-    BatchLiveness,
-    LiveSetRequest,
-    DestructRequest,
-    AllocateRequest,
-    NotifyRequest,
-    EvictRequest,
-    CompileSourceRequest,
-    StatsRequest,
-]
-
+Request = Union[tuple(row.request for row in MESSAGES if row.request)]
 #: The response union.
-Response = Union[
-    LivenessResponse,
-    BatchLivenessResponse,
-    LiveSetResponse,
-    DestructResponse,
-    AllocateResponse,
-    NotifyResponse,
-    EvictResponse,
-    CompileSourceResponse,
-    StatsResponse,
-]
+Response = Union[tuple(row.response for row in MESSAGES if row.tag != "error")]
 
 #: Wire tag ↔ request class.
-REQUEST_TYPES: dict[str, type] = {
-    "liveness_query": LivenessQuery,
-    "batch_liveness": BatchLiveness,
-    "live_set": LiveSetRequest,
-    "destruct": DestructRequest,
-    "allocate": AllocateRequest,
-    "notify": NotifyRequest,
-    "evict": EvictRequest,
-    "compile_source": CompileSourceRequest,
-    "stats": StatsRequest,
-}
-
+REQUEST_TYPES: dict[str, type] = {row.tag: row.request for row in MESSAGES if row.request}
 #: Wire tag ↔ response class.
-RESPONSE_TYPES: dict[str, type] = {
-    "liveness_query": LivenessResponse,
-    "batch_liveness": BatchLivenessResponse,
-    "live_set": LiveSetResponse,
-    "destruct": DestructResponse,
-    "allocate": AllocateResponse,
-    "notify": NotifyResponse,
-    "evict": EvictResponse,
-    "compile_source": CompileSourceResponse,
-    "stats": StatsResponse,
-    "error": ErrorResponse,
-}
-
+RESPONSE_TYPES: dict[str, type] = {row.tag: row.response for row in MESSAGES}
 #: Request class → matching response class (the dispatcher's error path).
 RESPONSE_FOR: dict[type, type] = {
-    REQUEST_TYPES[tag]: RESPONSE_TYPES[tag] for tag in REQUEST_TYPES
+    row.request: row.response for row in MESSAGES if row.request
 }
 
-_TAG_OF: dict[type, str] = {}
-for _tag, _cls in REQUEST_TYPES.items():
-    _TAG_OF[_cls] = _tag
-for _tag, _cls in RESPONSE_TYPES.items():
-    _TAG_OF[_cls] = _tag
-
-#: tag → bound ``from_json`` decoder, built once at import so the wire
-#: hot path does a single dict probe per message instead of a class
-#: lookup plus attribute fetch (the dispatch-overhead bench guard in
-#: ``bench/table_service.py --smoke`` is what holds this layer honest).
-_REQUEST_DECODERS: dict[str, Callable] = {
-    tag: cls.from_json for tag, cls in REQUEST_TYPES.items()
+# class → (tag, body encoder) and tag → body decoder, per direction.
+_REQUEST_ENCODERS = {
+    row.request: (row.tag, row.request_kind.to_json) for row in MESSAGES if row.request
 }
-_RESPONSE_DECODERS: dict[str, Callable] = {
-    tag: cls.from_json for tag, cls in RESPONSE_TYPES.items()
+_RESPONSE_ENCODERS = {row.response: (row.tag, row.response_kind.to_json) for row in MESSAGES}
+_REQUEST_DECODERS = {
+    row.tag: row.request_kind.from_json for row in MESSAGES if row.request
 }
+_RESPONSE_DECODERS = {row.tag: row.response_kind.from_json for row in MESSAGES}
 
 
-def _encode(message, expected: dict[str, type]) -> dict:
-    tag = _TAG_OF.get(type(message))
-    if tag is None or expected.get(tag) is not type(message):
+def _encode(message, encoders: dict) -> dict:
+    entry = encoders.get(type(message))
+    if entry is None:
         raise ProtocolError(
             ErrorCode.INVALID_REQUEST,
             f"cannot encode {type(message).__name__} here",
         )
-    return {"api": PROTOCOL_VERSION, "type": tag, "body": message.to_json()}
+    tag, body = entry
+    return {"api": PROTOCOL_VERSION, "type": tag, "body": body(message)}
 
 
-def _decode(payload, decoders: dict[str, Callable]):
+def _decode(payload, decoders: dict):
     if isinstance(payload, (str, bytes)):
         if isinstance(payload, bytes):
             try:
@@ -871,7 +586,7 @@ def _decode(payload, decoders: dict[str, Callable]):
                     ErrorCode.INVALID_REQUEST, f"envelope is not JSON: {exc}"
                 ) from None
         try:
-            payload = _JSON_DECODER.decode(payload)
+            payload = JSON_DECODER.decode(payload)
         except ValueError as exc:
             raise ProtocolError(
                 ErrorCode.INVALID_REQUEST, f"envelope is not JSON: {exc}"
@@ -903,7 +618,7 @@ def _decode(payload, decoders: dict[str, Callable]):
 
 def encode_request(request: Request) -> dict:
     """Versioned JSON-ready envelope for ``request``."""
-    return _encode(request, REQUEST_TYPES)
+    return _encode(request, _REQUEST_ENCODERS)
 
 
 def decode_request(payload) -> Request:
@@ -913,7 +628,7 @@ def decode_request(payload) -> Request:
 
 def encode_response(response: Response) -> dict:
     """Versioned JSON-ready envelope for ``response``."""
-    return _encode(response, RESPONSE_TYPES)
+    return _encode(response, _RESPONSE_ENCODERS)
 
 
 def decode_response(payload) -> Response:

@@ -1,4 +1,4 @@
-"""Table D — wire codec microbench: bin2 vs. JSON, per message type.
+"""Table W — wire codec microbench: bin2 vs. JSON, per message type.
 
 Two questions about :mod:`repro.api.codec`, answered without a service
 behind the wire (pure encode/decode, no dispatch):
@@ -315,7 +315,7 @@ def format_table_codec(rows: list[TableCodecRow]) -> str:
     return format_table(
         headers,
         table_rows,
-        title="Table D — wire codec: frame size and per-op cost, bin2 vs. JSON",
+        title="Table W — wire codec: frame size and per-op cost, bin2 vs. JSON",
     )
 
 

@@ -66,6 +66,7 @@ from repro.api.client import (
 )
 from repro.api.codec import (
     RELAY_OPCODES,
+    TAG_BY_OPCODE,
     BytesServerSession,
     decode_request_bin2,
     decode_response_bin2,
@@ -93,9 +94,9 @@ from repro.api.protocol import (
     Response,
     StatsRequest,
     StatsResponse,
-    dumps_compact,
     encode_response,
 )
+from repro.api.schema import dumps_compact
 from repro.concurrent.sharded import shard_of
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -124,7 +125,7 @@ _logger = logging.getLogger("repro.obs")
 
 #: The JSON envelope types eligible for verbatim relay (the same
 #: single-function requests as :data:`RELAY_OPCODES`).
-_RELAY_JSON_TYPES = frozenset(("liveness_query", "live_set", "evict"))
+_RELAY_JSON_TYPES = frozenset(TAG_BY_OPCODE[opcode] for opcode in RELAY_OPCODES)
 
 # ----------------------------------------------------------------------
 # Pipe message protocol (parent <-> worker)

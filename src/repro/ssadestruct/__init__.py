@@ -18,10 +18,7 @@ checker queries:
   the stages together per backend.
 
 * :mod:`repro.ssadestruct.interference` — the Budimlić interference
-  test and the conservative copy coalescer (moved here from
-  ``repro.ssa.coalescing``, which is now a deprecated shim);
-* :mod:`repro.ssadestruct.legacy` — the pre-PR-3 ``destruct_ssa``
-  surface, kept as a thin adapter over :func:`destruct`.
+  test and the conservative copy coalescer.
 """
 
 from repro.ssadestruct.coalesce import (
@@ -38,7 +35,6 @@ from repro.ssadestruct.interference import (
     InterferenceChecker,
 )
 from repro.ssadestruct.isolate import IsolationReport, isolate_phis
-from repro.ssadestruct.legacy import DestructionReport, destruct_ssa
 from repro.ssadestruct.names import NameAllocator
 from repro.ssadestruct.pipeline import (
     BACKENDS,
@@ -60,7 +56,6 @@ __all__ = [
     "CoalesceReport",
     "CoalescingReport",
     "CopyCoalescer",
-    "DestructionReport",
     "InterferenceChecker",
     "CongruenceClasses",
     "ConventionalSSAError",
@@ -73,7 +68,6 @@ __all__ = [
     "apply_renaming_and_lower",
     "coalesce_parallel_copies",
     "destruct",
-    "destruct_ssa",
     "isolate_phis",
     "phi_related_variables",
     "phi_congruence_classes",

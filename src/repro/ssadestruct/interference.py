@@ -23,9 +23,6 @@ Two clients of that test live here:
   reports how many liveness-backed tests it issued, giving the benchmark
   harness a second query stream with a different shape from destruction
   (the "other passes" the paper's conclusion mentions as work in progress).
-
-This module is the single implementation; the pre-PR-3 home
-:mod:`repro.ssa.coalescing` survives as a deprecated shim over it.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ scale used for each table.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 from repro.frontend.compile import compile_source
@@ -255,7 +256,9 @@ def generate_benchmark_functions(
     over an irreducible CFG so the population, like SPEC, is not purely
     reducible.
     """
-    rng = random.Random((hash(profile.name) & 0xFFFF) * 7919 + seed)
+    # crc32, not hash(): str hashes follow PYTHONHASHSEED, and the
+    # generated corpus must be the same in every process.
+    rng = random.Random((zlib.crc32(profile.name.encode("utf-8")) & 0xFFFF) * 7919 + seed)
     functions: list[Function] = []
     for index in range(scale):
         target_blocks = sample_block_count(rng, profile)

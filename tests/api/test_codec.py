@@ -586,3 +586,46 @@ def test_per_codec_wire_metrics_are_visible():
     histograms = stats.snapshot["histograms"]
     assert histograms["wire.decode_seconds{codec=bin2}"]["count"] > 0
     assert histograms["wire.encode_seconds{codec=bin2}"]["count"] > 0
+
+
+# ----------------------------------------------------------------------
+# 5. The hand-written liveness fast lane reads the golden frames
+# ----------------------------------------------------------------------
+def test_fast_lane_parses_the_golden_liveness_frames():
+    """The server's fast lane parses ``LivenessQuery`` frames by hand,
+    outside the message table; it must read the pinned bytes exactly as
+    the table-driven decoder does, self-contained and interned alike."""
+    from repro.api.codec import BytesServerSession
+    from repro.api.protocol import QueryKind
+    from tests.api.golden_cases import CASES
+    from tests.api.test_golden_frames import GOLDEN
+
+    def never_dispatched(request):
+        raise AssertionError(f"fast lane fell back for {request!r}")
+
+    seen = []
+
+    def fast_query(name, revision, want_in, variable, block):
+        seen.append((name, revision, want_in, variable, block))
+        return True
+
+    true_frame = bytes.fromhex(GOLDEN["liveness_query.true"][1])
+    queries = [
+        (case_id, message)
+        for case_id, kind, message in CASES
+        if kind == "request" and isinstance(message, LivenessQuery)
+    ]
+    assert len(queries) == 4
+    for case_id, query in queries:
+        session = BytesServerSession(never_dispatched, fast_query=fast_query)
+        _, self_contained, interned = GOLDEN[case_id]
+        expected = (
+            query.function.name,
+            query.function.revision,
+            query.kind is QueryKind.LIVE_IN,
+            query.variable,
+            query.block,
+        )
+        for frame in (self_contained, interned):
+            assert session.dispatch_frame(bytes.fromhex(frame)) == true_frame
+            assert seen.pop() == expected

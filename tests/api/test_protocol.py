@@ -39,6 +39,7 @@ from repro.api.protocol import (
     LiveSetResponse,
     NotifyRequest,
     QueryKind,
+    StatsRequest,
     decode_request,
     decode_response,
     encode_request,
@@ -266,6 +267,70 @@ class TestEnvelope:
             }
         )
         assert decoded == CompileSourceRequest(source="func f(a) { return a; }")
+
+
+_HANDLE_JSON = {"name": "f", "revision": None}
+
+#: ``(tag, body)`` envelopes whose one mistyped field the JSON decoder
+#: used to coerce silently or let through to an internal TypeError.
+MISTYPED_BODIES = [
+    ("stats", {"reset": "no"}),
+    ("allocate", {"function": _HANDLE_JSON, "num_registers": "3"}),
+    ("allocate", {"function": _HANDLE_JSON, "num_registers": True}),
+    ("destruct", {"function": _HANDLE_JSON, "verify": "false"}),
+    ("liveness_query",
+     {"function": _HANDLE_JSON, "kind": "in", "variable": 5, "block": "entry"}),
+    ("liveness_query",
+     {"function": _HANDLE_JSON, "kind": "in", "variable": ["a"], "block": "entry"}),
+    ("live_set", {"function": _HANDLE_JSON, "block": 7}),
+    ("compile_source", {"source": 5}),
+]
+
+
+class TestMistypedJson:
+    """A mistyped JSON field is an INVALID_REQUEST, never a coercion."""
+
+    @pytest.mark.parametrize(
+        "tag, body", MISTYPED_BODIES, ids=[f"{tag}-{body}" for tag, body in MISTYPED_BODIES]
+    )
+    def test_decode_rejects(self, tag, body):
+        from repro.api.errors import ProtocolError
+
+        envelope = {"api": PROTOCOL_VERSION, "type": tag, "body": body}
+        with pytest.raises(ProtocolError) as exc:
+            decode_request(envelope)
+        assert exc.value.error.code is ErrorCode.INVALID_REQUEST
+        assert exc.value.error.detail.startswith(f"malformed {tag} body")
+
+    @pytest.mark.parametrize(
+        "tag, body", MISTYPED_BODIES, ids=[f"{tag}-{body}" for tag, body in MISTYPED_BODIES]
+    )
+    def test_dispatch_answers_invalid_request(self, tag, body):
+        client = CompilerClient()
+        client.compile("func f(a) { return a; }")
+        envelope = client.dispatch_json(
+            json.dumps({"api": PROTOCOL_VERSION, "type": tag, "body": body})
+        )
+        assert envelope["type"] == "error"
+        assert envelope["body"]["error"]["code"] == "invalid_request"
+        assert envelope["body"]["error"]["detail"].startswith(f"malformed {tag} body")
+        # Nothing was reset, compiled or allocated on the way.
+        assert client.handle("f").revision == 0
+
+    def test_well_typed_bodies_still_decode(self):
+        assert decode_request(
+            {"api": PROTOCOL_VERSION, "type": "stats", "body": {"reset": True}}
+        ) == StatsRequest(reset=True)
+        assert decode_request(
+            {"api": PROTOCOL_VERSION, "type": "stats", "body": {}}
+        ) == StatsRequest()
+        assert decode_request(
+            {
+                "api": PROTOCOL_VERSION,
+                "type": "allocate",
+                "body": {"function": _HANDLE_JSON, "num_registers": 3},
+            }
+        ) == AllocateRequest(function="f", num_registers=3)
 
 
 class TestDispatchParity:
@@ -596,7 +661,7 @@ class TestNotifyDeltas:
 
     def test_absent_delta_is_omitted_on_the_wire(self):
         request = NotifyRequest(function=FunctionHandle("fn"), kind="cfg")
-        assert "delta" not in request.to_json()
+        assert "delta" not in encode_request(request)["body"]
 
     def test_dispatched_delta_reaches_the_service_counters(self):
         from tests.service.test_service import applicable_delta, make_module

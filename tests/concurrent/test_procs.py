@@ -26,9 +26,9 @@ from repro.api.protocol import (
     LiveSetRequest,
     NotifyRequest,
     StatsRequest,
-    dumps_compact,
     encode_request,
 )
+from repro.api.schema import dumps_compact
 from repro.concurrent import ShardedClient
 from repro.concurrent.procs import DEFAULT_WORKERS, ProcClient, is_worker_failure
 from tests.support.concurrency import (

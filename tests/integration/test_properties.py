@@ -14,7 +14,7 @@ from repro.core import FastLivenessChecker, LivenessPrecomputation, SetBasedChec
 from repro.ir import verify_function, verify_ssa
 from repro.ir.interp import execute
 from repro.liveness import DataflowLiveness, PathExplorationLiveness
-from repro.ssa import destruct_ssa
+from repro.ssadestruct import destruct
 from repro.synth import random_cfg
 from tests.conftest import reference_is_live_in, reference_is_live_out
 from tests.support.genfn import GenSpec, generate_function, structured_function
@@ -84,7 +84,7 @@ def test_compiled_random_programs_round_trip_through_the_pipeline(seed):
     function = structured_function(seed, target_blocks=3 + seed % 20)
     args = [rng.randrange(-5, 6), rng.randrange(0, 6)]
     before = execute(function, args).observable()
-    destruct_ssa(function)
+    destruct(function)
     verify_function(function)
     assert execute(function, args).observable() == before
 

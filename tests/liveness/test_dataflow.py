@@ -5,7 +5,7 @@ import pytest
 from repro.frontend import compile_source
 from repro.ir import parse_function
 from repro.liveness import DataflowLiveness, PathExplorationLiveness
-from repro.ssa.destruction import phi_related_variables
+from repro.ssadestruct import phi_related_variables
 from repro.synth import random_ssa_function
 from tests.conftest import GCD_SOURCE, NESTED_SOURCE, SUM_LOOP_SOURCE
 

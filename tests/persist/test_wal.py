@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,7 +199,7 @@ def torn_log(tmp_path, count: int = 4, cut: int = 3) -> str:
         for request in sample_requests(count):
             wal.append(request)
     _first, path = list_segments(directory)[-1]
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     with open(path, "wb") as handle:
         handle.write(data[:-cut])
     return directory
@@ -219,7 +220,7 @@ def test_any_torn_tail_never_raises(tmp_path_factory, cut):
         for request in sample_requests(3):
             wal.append(request)
     _first, path = list_segments(directory)[0]
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     with open(path, "wb") as handle:
         handle.write(data[: max(0, len(data) - cut)])
     scan = read_wal(directory)  # must not raise
@@ -235,9 +236,9 @@ def test_corruption_in_older_segment_skips_newer_ones(tmp_path):
     segments = list_segments(directory)
     assert len(segments) == 4
     _first, victim = segments[1]
-    data = bytearray(open(victim, "rb").read())
+    data = bytearray(Path(victim).read_bytes())
     data[-1] ^= 0xFF
-    open(victim, "wb").write(bytes(data))
+    Path(victim).write_bytes(bytes(data))
     scan = read_wal(directory)
     # Records past the damage would leave a sequence gap; classic rule
     # says discard them.
@@ -253,9 +254,9 @@ def test_repair_truncates_and_deletes(tmp_path):
             wal.append(request)
     segments = list_segments(directory)
     _first, victim = segments[0]
-    data = bytearray(open(victim, "rb").read())
+    data = bytearray(Path(victim).read_bytes())
     data[-1] ^= 0xFF
-    open(victim, "wb").write(bytes(data))
+    Path(victim).write_bytes(bytes(data))
     actions = repair(directory)
     assert actions, "repair should have acted on the damage"
     # After repair the directory reads clean — and stays clean.

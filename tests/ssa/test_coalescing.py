@@ -5,7 +5,8 @@ from repro.frontend import compile_source
 from repro.ir import parse_function, verify_ssa
 from repro.ir.interp import execute
 from repro.liveness import DataflowLiveness
-from repro.ssa import CopyCoalescer, DefUseChains, InterferenceChecker
+from repro.ssa import DefUseChains
+from repro.ssadestruct.interference import CopyCoalescer, InterferenceChecker
 from tests.conftest import GCD_SOURCE
 
 

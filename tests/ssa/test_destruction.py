@@ -16,8 +16,7 @@ from repro.frontend import compile_source
 from repro.ir import verify_function
 from repro.ir.interp import execute
 from repro.liveness import CountingOracle, DataflowLiveness, PathExplorationLiveness
-from repro.ssa import destruct_ssa
-from repro.ssa.destruction import phi_related_variables
+from repro.ssadestruct import destruct, phi_related_variables
 from repro.synth import random_program_source
 from tests.conftest import GCD_SOURCE, NESTED_SOURCE, SUM_LOOP_SOURCE
 
@@ -53,15 +52,20 @@ def compile_one(source: str):
     return list(compile_source(source))[0]
 
 
+def copies_inserted(report) -> int:
+    """Parallel-copy pairs that could not be coalesced (each needs a copy)."""
+    return report.pairs_inserted - report.pairs_coalesced
+
+
 def assert_destruction_preserves(source: str, arglists) -> None:
     function = compile_one(source)
     before = [execute(function, list(args)).observable() for args in arglists]
-    report = destruct_ssa(function)
+    report = destruct(function)
     verify_function(function)
     assert not function.phis()
     after = [execute(function, list(args)).observable() for args in arglists]
     assert before == after
-    assert report.phis_processed >= 1
+    assert report.phis_isolated >= 1
 
 
 class TestKnownHardCases:
@@ -116,9 +120,9 @@ class TestKnownHardCases:
         verify_ssa(function)
         expected = {n: execute(function, [n]).return_value for n in range(5)}
         assert expected[0] == 12 and expected[1] == 21 and expected[2] == 12
-        report = destruct_ssa(function)
+        report = destruct(function)
         verify_function(function)
-        assert report.copies_inserted >= 2
+        assert copies_inserted(report) >= 2
         for n, value in expected.items():
             assert execute(function, [n]).return_value == value
 
@@ -136,16 +140,16 @@ class TestKnownHardCases:
 class TestStructure:
     def test_no_phis_remain_and_function_is_valid(self):
         function = compile_one(NESTED_SOURCE)
-        destruct_ssa(function)
+        destruct(function)
         assert function.phis() == []
         verify_function(function)
 
     def test_loop_counter_web_is_fully_coalesced(self):
         """The classic induction-variable φ needs no copies at all."""
         function = compile_one(SUM_LOOP_SOURCE)
-        report = destruct_ssa(function)
-        assert report.phis_processed == 2  # i and s merge at the header
-        assert report.resources_coalesced >= 4
+        report = destruct(function)
+        assert report.phis_isolated == 2  # i and s merge at the header
+        assert report.pairs_coalesced >= 4
 
     def test_critical_edges_are_split_when_needed(self):
         source = """
@@ -159,16 +163,20 @@ class TestStructure:
         }
         """
         function = compile_one(source)
-        report = destruct_ssa(function)
+        report = destruct(function)
         assert report.critical_edges_split >= 1
         verify_function(function)
 
     def test_report_counts_are_consistent(self):
         function = compile_one(NESTED_SOURCE)
-        report = destruct_ssa(function)
-        assert report.resources_processed == report.resources_coalesced + report.copies_inserted
+        related = phi_related_variables(function)
+        report = destruct(function)
+        # Each φ contributes one parallel-copy pair per operand plus one
+        # for its result; every pair is either coalesced or a copy.
+        assert 0 <= report.pairs_coalesced <= report.pairs_inserted
+        assert report.pairs_inserted >= 2 * report.phis_isolated
         assert report.interference_tests >= 0
-        assert len(report.phi_related_variables) >= report.phis_processed
+        assert len(related) >= report.phis_isolated
 
     def test_phi_related_variables_helper(self):
         function = compile_one(SUM_LOOP_SOURCE)
@@ -187,7 +195,7 @@ class TestOracleIntegration:
             counters["oracle"] = oracle
             return oracle
 
-        report = destruct_ssa(function, oracle_factory=factory)
+        report = destruct(function, oracle_factory=factory)
         oracle = counters["oracle"]
         assert oracle.total_queries > 0
         assert report.interference_tests > 0
@@ -204,7 +212,7 @@ class TestOracleIntegration:
         }
         function = compile_one(SWAP_SOURCE)
         reference = [execute(function, [n]).observable() for n in range(5)]
-        destruct_ssa(function, oracle_factory=factories[engine])
+        destruct(function, oracle_factory=factories[engine])
         after = [execute(function, [n]).observable() for n in range(5)]
         assert after == reference
 
@@ -215,22 +223,23 @@ class TestOracleIntegration:
         construction and queries on fresh resources raised KeyError)."""
         for source in (GCD_SOURCE, SUM_LOOP_SOURCE, NESTED_SOURCE, SWAP_SOURCE):
             function = compile_one(source)
-            report = destruct_ssa(function, oracle=DataflowLiveness(function))
+            oracle = DataflowLiveness(function)
+            report = destruct(function, oracle_factory=lambda fn, oracle=oracle: oracle)
             assert not function.phis()
-            assert report.phis_processed >= 1
+            assert report.phis_isolated >= 1
 
     def test_different_oracles_make_identical_decisions(self):
         """The checker answers exactly like the data-flow sets, so the pass
         must produce the same copy counts with either engine."""
         for source in (GCD_SOURCE, SUM_LOOP_SOURCE, NESTED_SOURCE, SWAP_SOURCE):
             with_fast = compile_one(source)
-            report_fast = destruct_ssa(with_fast, oracle_factory=FastLivenessChecker)
+            report_fast = destruct(with_fast, oracle_factory=FastLivenessChecker)
             with_dataflow = compile_one(source)
-            report_dataflow = destruct_ssa(
+            report_dataflow = destruct(
                 with_dataflow, oracle_factory=lambda fn: DataflowLiveness(fn)
             )
-            assert report_fast.copies_inserted == report_dataflow.copies_inserted
-            assert report_fast.resources_coalesced == report_dataflow.resources_coalesced
+            assert copies_inserted(report_fast) == copies_inserted(report_dataflow)
+            assert report_fast.pairs_coalesced == report_dataflow.pairs_coalesced
 
 
 class TestRandomPrograms:
@@ -240,9 +249,9 @@ class TestRandomPrograms:
             function = compile_one(source)
             args = [rng.randrange(-6, 7), rng.randrange(0, 7)]
             before = execute(function, args).observable()
-            report = destruct_ssa(function)
+            report = destruct(function)
             verify_function(function)
             assert not function.phis()
             after = execute(function, args).observable()
             assert before == after, f"case {index}:\n{source}"
-            assert report.resources_processed >= report.copies_inserted
+            assert report.pairs_inserted >= copies_inserted(report)

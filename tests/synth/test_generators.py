@@ -257,3 +257,41 @@ class TestGenfnSupportGenerator:
         function = generate_function(77, GenSpec(blocks=8, loop_depth=0))
         dfs = DepthFirstSearch(function.build_cfg())
         assert not dfs.back_edges()
+
+
+class TestHashSeedIndependence:
+    """The benchmark corpus must not follow ``PYTHONHASHSEED``."""
+
+    SCRIPT = (
+        "from repro.ir.printer import print_function\n"
+        "from repro.synth.spec_profiles import generate_benchmark_functions, profile_by_name\n"
+        "for function in generate_benchmark_functions(profile_by_name('164.gzip'), scale=4):\n"
+        "    print(print_function(function))\n"
+    )
+
+    def _printed_ir(self, hash_seed: int) -> str:
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(hash_seed),
+            PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent),
+        )
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+
+    def test_printed_ir_is_identical_across_hash_seeds(self):
+        first = self._printed_ir(1)
+        assert first.strip()
+        assert self._printed_ir(2) == first
