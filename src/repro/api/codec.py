@@ -85,11 +85,6 @@ MAX_FRAME = 16 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct("<I")
 
-# The persist layer (:mod:`repro.persist`) frames its on-disk snapshot
-# and WAL records with the same varint/string conventions as wire
-# frames, through the primitives this module imports from
-# repro.api.schema (Reader, write_uvarint, write_str).
-
 # Opcodes (one byte on the wire), from the message table: responses are
 # the request opcode | RESPONSE_BIT, and the decode-failure fallback
 # response is OP_ERROR_RESPONSE.
@@ -114,7 +109,13 @@ _BIN2_REQUEST_DECODERS = {
     row.opcode: row.request_kind.read for row in MESSAGES if row.request
 }
 _BIN2_RESPONSE_ENCODERS = {
-    row.response: (row.opcode | RESPONSE_BIT, row.response_kind.write) for row in MESSAGES
+    # A response frame is built in place: this header (length patched in
+    # after the body, zero string defs), then the body.
+    row.response: (
+        bytes((0, 0, 0, 0, BIN2_MAGIC, PROTOCOL_VERSION, row.opcode | RESPONSE_BIT, 0)),
+        row.response_kind.write,
+    )
+    for row in MESSAGES
 }
 _BIN2_RESPONSE_DECODERS = {
     row.opcode | RESPONSE_BIT: row.response_kind.read for row in MESSAGES
@@ -138,12 +139,15 @@ def _frame(opcode: int, defs: Sequence[tuple[int, str]], body: bytes | bytearray
         write_uvarint(payload, ident)
         write_str(payload, text)
     payload += body
-    if len(payload) > MAX_FRAME:
+    return _FRAME_HEADER.pack(_payload_size(len(payload))) + payload
+
+
+def _payload_size(size: int) -> int:
+    if size > MAX_FRAME:
         raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME}",
+            ErrorCode.INVALID_REQUEST, f"frame payload of {size} bytes exceeds {MAX_FRAME}"
         )
-    return _FRAME_HEADER.pack(len(payload)) + payload
+    return size
 
 
 def is_bin2_frame(data) -> bool:
@@ -241,12 +245,11 @@ def reframe_with_defs(
     return _frame(opcode, defs, data[body_pos:])
 
 
-def _encoder(encoders: dict, message) -> tuple[int, Callable]:
+def _encoder(encoders: dict, message) -> tuple:
     entry = encoders.get(type(message))
     if entry is None:
         raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"cannot encode {type(message).__name__} here",
+            ErrorCode.INVALID_REQUEST, f"cannot encode {type(message).__name__} here"
         )
     return entry
 
@@ -301,10 +304,11 @@ def decode_request_bin2(data, table: StringTable | None = None) -> Request:
 
 def encode_response_bin2(response: Response | ErrorResponse) -> bytes:
     """One bin2 frame for ``response`` (strings inline, no table)."""
-    opcode, write = _encoder(_BIN2_RESPONSE_ENCODERS, response)
-    body = bytearray()
-    write(body, response)
-    return _frame(opcode, (), body)
+    header, write = _encoder(_BIN2_RESPONSE_ENCODERS, response)
+    out = bytearray(header)
+    write(out, response)
+    _FRAME_HEADER.pack_into(out, 0, _payload_size(len(out) - 4))
+    return bytes(out)
 
 
 def decode_response_bin2(data) -> Response | ErrorResponse:

@@ -22,7 +22,8 @@ four callables are closures built once at import over its fields'
 callables, so encoding a message walks pre-bound functions, never a
 table of kind names.  The bin2 primitives (varints, strings, the frame
 :class:`Reader`, per-connection string interning) live here too,
-because the kinds are built from them.
+because the kinds are built from them; :mod:`repro.persist` frames its
+snapshot and WAL records with the same primitives.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def write_svarint(out: bytearray, value: int, refs=None) -> None:
 
 
 def write_str(out: bytearray, text: str, refs=None) -> None:
-    raw = text.encode("utf-8")
+    raw = text.encode()  # UTF-8; the argument-free call is the fastest form
     if len(raw) < 0x80:
         out.append(len(raw))
     else:
@@ -144,7 +145,7 @@ class Reader:
     def str_(self) -> str:
         raw = self.take(self.uvarint())
         try:
-            return raw.decode("utf-8")
+            return raw.decode()  # UTF-8, as write_str encodes
         except UnicodeDecodeError as exc:
             raise ProtocolError(
                 ErrorCode.INVALID_REQUEST, f"invalid UTF-8 in string: {exc}"
@@ -597,9 +598,15 @@ def _unrolled(cls: type, names: tuple, kinds: list, defaults: list) -> tuple:
                 *[parse(raw[n] if d is _REQUIRED else raw.get(n, d)) for n, parse, d in fields]
             )
 
+        # Wider records write as groups of up to four unrolled fields.
+        groups = [
+            _unrolled(cls, names[i : i + 4], kinds[i : i + 4], defaults[i : i + 4])[1]
+            for i in range(0, len(kinds), 4)
+        ]
+
         def write(out, obj, refs=None):
-            for write_field, value in zip(writers, get(obj)):
-                write_field(out, value, refs)
+            for write_group in groups:
+                write_group(out, obj, refs)
 
         return from_json, write, lambda r: cls(*[read_field(r) for read_field in readers])
     pad = [None] * (4 - len(kinds))

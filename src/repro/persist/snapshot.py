@@ -33,8 +33,8 @@ import hashlib
 import os
 from dataclasses import dataclass, replace
 
-from repro.api.codec import Reader, write_str, write_uvarint
 from repro.api.errors import ProtocolError
+from repro.api.schema import Reader, write_str, write_uvarint
 from repro.persist.precomp import PrecompState
 from repro.persist.records import RecordDamage, encode_record, scan_records
 

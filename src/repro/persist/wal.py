@@ -32,14 +32,10 @@ import os
 import threading
 from dataclasses import dataclass
 
-from repro.api.codec import (
-    Reader,
-    decode_request_bin2,
-    encode_request_bin2,
-    write_uvarint,
-)
+from repro.api.codec import decode_request_bin2, encode_request_bin2
 from repro.api.errors import ProtocolError
 from repro.api.protocol import Request
+from repro.api.schema import Reader, write_uvarint
 from repro.obs import Observability
 from repro.persist.records import RecordDamage, encode_record, scan_records
 

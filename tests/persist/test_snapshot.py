@@ -157,7 +157,7 @@ def test_missing_file_is_unreadable_damage(tmp_path):
 
 def test_tampered_digest_is_rejected():
     """A snapshot whose records are intact but whose END digest lies."""
-    from repro.api.codec import write_str, write_uvarint
+    from repro.api.schema import write_str, write_uvarint
     from repro.persist.records import encode_record, scan_records
     from repro.persist.snapshot import REC_END
 
