@@ -12,7 +12,7 @@ means on the wire:
   decoder turns both into ``INVALID_REQUEST``) instead of being coerced;
 * ``write(out, value, refs)`` — append the bin2 form to ``out``;
   ``refs`` is the request's ``(interner, defs)`` pair, ``None`` for
-  responses, and only :data:`INTERNED_STR` reads it;
+  responses, and only :data:`HANDLE_REF` reads it;
 * ``read(reader)`` — parse the bin2 form back, raising only
   :class:`~repro.api.errors.ProtocolError` (or the exceptions the frame
   decoder wraps into one).
