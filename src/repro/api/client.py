@@ -33,6 +33,7 @@ from repro.api.errors import ApiError, ErrorCode, ProtocolError
 from repro.api.handles import FunctionHandle
 from repro.api.protocol import (
     MESSAGES,
+    RESPONSE_FOR,
     AllocateRequest,
     AllocateResponse,
     AllocationSummary,
@@ -56,7 +57,6 @@ from repro.api.protocol import (
     QueryKind,
     Request,
     Response,
-    RESPONSE_FOR,
     StatsRequest,
     StatsResponse,
     attach_trace,
