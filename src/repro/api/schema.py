@@ -186,9 +186,6 @@ class StringInterner:
             defs.append((ident, text))
         return ident
 
-    def reset(self) -> None:
-        self._ids.clear()
-
 
 class StringTable:
     """Decode side: refs defined by earlier frames of the connection.
